@@ -10,8 +10,8 @@
 //! * `ablate_alpha` — ParMETIS's Relative Cost Factor in |Ecut| + α|Vmove|.
 //! * `ablate_sync_points` — Charm++'s load-balancing frequency I − 1.
 //! * `ablate_grant` — mobile objects surrendered per steal (footnote 2).
-//! * `ablate_forwarding` — MOL location-update strategy: lazy (the paper's)
-//!   vs fully lazy vs eager broadcast.
+//! * `ablate_forwarding` — MOL routing: the sharded directory vs the paper's
+//!   home-forwarding.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use prema_harness::drivers::{charm_drv, parmetis_drv, prema_drv};
@@ -135,7 +135,7 @@ fn ablate_grant(c: &mut Criterion) {
 fn ablate_forwarding(c: &mut Criterion) {
     use bytes::Bytes;
     use prema_dcs::{Communicator, LocalFabric};
-    use prema_mol::{Migratable, MolConfig, MolNode};
+    use prema_mol::{Migratable, MolConfig, MolNode, Routing};
 
     struct Blob(u64);
     impl Migratable for Blob {
@@ -148,11 +148,14 @@ fn ablate_forwarding(c: &mut Criterion) {
     }
 
     // A migration-heavy churn: the object hops around an 8-rank machine
-    // while a fixed sender streams messages at it. Lazy updates trade
-    // forwarding hops for fewer update messages; eager broadcast trades the
-    // other way. The printed counters record the tradeoff; the bench times
-    // the whole churn.
-    let run = |cfg: MolConfig| -> (u64, u64) {
+    // while a fixed sender streams messages at it, under each routing
+    // scheme. The printed counters record forwarding hops against location
+    // traffic; the bench times the whole churn.
+    let run = |routing: Routing| -> (u64, u64) {
+        let cfg = MolConfig {
+            routing,
+            ..MolConfig::default()
+        };
         let mut nodes: Vec<MolNode<Blob>> = LocalFabric::new(8)
             .into_iter()
             .map(|ep| MolNode::with_config(Communicator::new(Box::new(ep)), cfg))
@@ -180,31 +183,13 @@ fn ablate_forwarding(c: &mut Criterion) {
     println!("\n== ablate_forwarding (50 migrations, 8 ranks) ==");
     let mut group = c.benchmark_group("ablate_forwarding");
     group.sample_size(10);
-    for (name, cfg) in [
-        ("lazy_default", MolConfig::default()),
-        (
-            "fully_lazy",
-            MolConfig {
-                update_home_on_install: false,
-                update_sender_on_forward: false,
-                broadcast_on_install: false,
-                // Keep the ablation about the legacy teaching paths: the
-                // sharded directory would mask what this axis measures.
-                sharded_directory: false,
-                ..MolConfig::default()
-            },
-        ),
-        (
-            "eager_broadcast",
-            MolConfig {
-                broadcast_on_install: true,
-                ..MolConfig::default()
-            },
-        ),
+    for (name, routing) in [
+        ("sharded", Routing::Sharded),
+        ("home_forward", Routing::HomeForward),
     ] {
-        let (fwd, upd) = run(cfg);
+        let (fwd, upd) = run(routing);
         println!("{name:>16}: {fwd:>4} forwards, {upd:>4} location updates");
-        group.bench_function(name, |b| b.iter(|| black_box(run(black_box(cfg)))));
+        group.bench_function(name, |b| b.iter(|| black_box(run(black_box(routing)))));
     }
     group.finish();
 }

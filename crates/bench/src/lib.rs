@@ -1,8 +1,8 @@
 //! Criterion benches for the PREMA reproduction live in `benches/`:
 //! `figures` (Figures 3–6 + the mesh study), `ablations` (design-knob
 //! sweeps), `substrates` (partitioner / MOL / engine / mesher
-//! microbenchmarks), `fastpath` (per-message and per-poll costs vs the
-//! retired transport designs), and `ring` (the SPSC ring mesh, including the
+//! microbenchmarks), `fastpath` (per-message costs of the layers
+//! above the wire), and `ring` (the SPSC ring mesh, including the
 //! zero-allocation steady-state check). Run with `cargo bench`.
 //!
 //! This lib exposes [`CountingAlloc`], a pass-through global allocator that

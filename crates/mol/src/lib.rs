@@ -35,6 +35,6 @@ pub mod ptr;
 
 pub use directory::{shard_of, LocCache, ShardAuthority, HARD_CHAIN_LIMIT, MAX_CHAIN};
 pub use migrate::{pack_to_vec, Migratable};
-pub use node::{MolConfig, MolEvent, MolNode, MolStats, WorkItem};
+pub use node::{MolConfig, MolEvent, MolNode, MolStats, Routing, WorkItem};
 pub use proto::MolEnvelope;
 pub use ptr::{MobilePtr, PtrAllocator};

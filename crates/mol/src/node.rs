@@ -42,69 +42,59 @@ use prema_dcs::{env, pool, Communicator, Envelope, FxHashMap, Rank, Tag};
 use prema_trace::{TraceEvent, Tracer};
 use std::collections::{BTreeMap, VecDeque};
 
-/// Location-resolution strategy knobs.
+/// How a rank locates mobile objects it does not host.
 ///
-/// The MOL always forwards along migration trails, so any setting is
-/// *correct*; these knobs trade update traffic against forwarding-chain
-/// length. The default is the sharded directory of DESIGN.md §16 (constant
-/// chain bound); turning `sharded_directory` off restores the paper's
-/// home-forwarding scheme, kept as the comparison baseline.
+/// The MOL always forwards along migration trails, so either routing is
+/// *correct*; they differ in how chains are kept short.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Routing {
+    /// The sharded directory of DESIGN.md §16 (the default): every migration
+    /// publishes `(ptr, new_rank, epoch)` to the pointer's home shard
+    /// ([`crate::directory::shard_of`]); cold senders consult the shard
+    /// instead of the object's birth rank, stale sends are redirected
+    /// through it, and forwarders piggyback the shard's answer back to the
+    /// sender. Forwarding chains are bounded by a constant
+    /// ([`crate::directory::MAX_CHAIN`]) instead of migration history.
+    Sharded,
+    /// The paper's home-forwarding scheme (§4), kept as the comparison
+    /// baseline: every installation sends a `LocUpdate` to the object's birth
+    /// rank, and every forwarder lazily teaches the original sender where
+    /// the object went.
+    HomeForward,
+}
+
+/// Location-resolution configuration: the routing scheme plus the size of
+/// the sender-side location cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MolConfig {
-    /// Keep the directory authority fresh: in sharded mode every migration
-    /// publishes `(ptr, new_rank, epoch)` to the pointer's home shard; in
-    /// legacy mode every installation notifies the object's *home* rank.
-    pub update_home_on_install: bool,
-    /// When forwarding a message, lazily teach the original sender where the
-    /// object went, collapsing its chain for subsequent sends. In sharded
-    /// mode the home shard's piggybacked answer is authoritative.
-    pub update_sender_on_forward: bool,
-    /// Eagerly broadcast every installation to all ranks. Shortest chains,
-    /// highest update traffic — O(P) messages per migration.
-    pub broadcast_on_install: bool,
-    /// Shard location authority across ranks by pointer hash
-    /// ([`crate::directory::shard_of`]); cold senders consult the shard
-    /// instead of the object's birth rank, and stale sends are redirected
-    /// through it, bounding forwarding chains by a constant
-    /// ([`crate::directory::MAX_CHAIN`]) instead of migration history.
-    pub sharded_directory: bool,
+    /// Which location scheme this rank runs. Every rank of a machine must
+    /// run the same one.
+    pub routing: Routing,
     /// Capacity (entries) of the bounded sender-side location cache.
     /// Overridden by `PREMA_LOC_CACHE` in [`MolNode::new`].
     pub loc_cache: usize,
-    /// Lazy epoch propagation (the default): senders learn fresh locations
-    /// only from piggybacked answers and NACK-style corrections. When off
-    /// (`PREMA_LOC_EPOCH_LAZY=0`), the home shard eagerly pushes each newer
-    /// publish to every rank whose lookup it has answered.
-    pub lazy_epochs: bool,
 }
 
 impl Default for MolConfig {
     fn default() -> Self {
         MolConfig {
-            update_home_on_install: true,
-            update_sender_on_forward: true,
-            broadcast_on_install: false,
-            sharded_directory: true,
+            routing: Routing::Sharded,
             loc_cache: LOC_CACHE_DEFAULT,
-            lazy_epochs: true,
         }
     }
 }
 
 impl MolConfig {
-    /// Apply the environment knobs (`PREMA_LOC_CACHE`,
-    /// `PREMA_LOC_EPOCH_LAZY`) on top of this config, through `dcs::env`'s
-    /// validated warn-once parsers. Called by [`MolNode::new`];
-    /// [`MolNode::with_config`] deliberately does not, so tests and benches
-    /// that pass an explicit config stay environment-independent.
+    /// Apply the `PREMA_LOC_CACHE` environment knob on top of this config,
+    /// through `dcs::env`'s validated warn-once parser. Called by
+    /// [`MolNode::new`]; [`MolNode::with_config`] deliberately does not, so
+    /// tests and benches that pass an explicit config stay
+    /// environment-independent.
     pub fn from_env(mut self) -> Self {
         if let Some(cap) = env::usize_var("PREMA_LOC_CACHE") {
             // Floor of 2: the two-generation cache needs one entry per
             // generation to function at all.
             self.loc_cache = cap.max(2);
-        }
-        if let Some(lazy) = env::flag_var("PREMA_LOC_EPOCH_LAZY") {
-            self.lazy_epochs = lazy;
         }
         self
     }
@@ -138,7 +128,7 @@ pub struct MolStats {
     /// forward pointer) — the message went out directly.
     pub loc_cache_hits: u64,
     /// Sends/resolves with no local knowledge — routed through the home
-    /// shard (or the object's home rank in legacy mode).
+    /// shard (or the object's home rank under [`Routing::HomeForward`]).
     pub loc_cache_misses: u64,
     /// Times this rank's cached guess proved stale (a forwarder or the home
     /// shard sent back a newer-epoch correction).
@@ -357,9 +347,9 @@ pub struct MolNode<O: Migratable> {
 }
 
 impl<O: Migratable> MolNode<O> {
-    /// Build a node over a communicator endpoint with the default (sharded
-    /// directory, lazy updates) strategy, with the `PREMA_LOC_CACHE` /
-    /// `PREMA_LOC_EPOCH_LAZY` environment knobs applied.
+    /// Build a node over a communicator endpoint with the default
+    /// [`Routing::Sharded`] directory, with the `PREMA_LOC_CACHE`
+    /// environment knob applied.
     pub fn new(comm: Communicator) -> Self {
         Self::with_config(comm, MolConfig::default().from_env())
     }
@@ -579,8 +569,9 @@ impl<O: Migratable> MolNode<O> {
     /// owner. Resident objects and cache/trail hits answer immediately; a
     /// miss under the sharded directory sends a [`DirLookup`] to the
     /// pointer's home shard and returns `None` — the answer lands in the
-    /// cache during a later poll, after which `resolve` hits. (Legacy mode
-    /// answers `ptr.home`, the only fallback it has.)
+    /// cache during a later poll, after which `resolve` hits.
+    /// ([`Routing::HomeForward`] answers `ptr.home`, the only fallback it
+    /// has.)
     pub fn resolve(&mut self, ptr: MobilePtr) -> Option<Rank> {
         assert!(!ptr.is_null(), "resolve of NULL mobile pointer");
         let me = self.comm.rank();
@@ -602,15 +593,18 @@ impl<O: Migratable> MolNode<O> {
             // flight toward us — fall through to the miss path.
         }
         self.stats.loc_cache_misses += 1;
-        if !self.cfg.sharded_directory {
-            return Some(ptr.home).filter(|&h| h != me);
-        }
-        let shard = shard_of(ptr, self.comm.nprocs());
+        let shard = match self.cfg.routing {
+            Routing::Sharded => shard_of(ptr, self.comm.nprocs()),
+            Routing::HomeForward => ptr.home,
+        };
         self.tracer.emit(|| TraceEvent::LocCacheMiss {
             home: ptr.home,
             index: ptr.index,
             shard,
         });
+        if self.cfg.routing == Routing::HomeForward {
+            return Some(ptr.home).filter(|&h| h != me);
+        }
         if shard == me {
             return match self.authority.lookup(ptr) {
                 Some((owner, _)) if owner != me => Some(owner),
@@ -704,9 +698,9 @@ impl<O: Migratable> MolNode<O> {
     ) -> Option<Route> {
         let me = self.comm.rank();
         let know = fresher(fwd, self.cache.get(ptr));
-        if !self.cfg.sharded_directory {
-            // Legacy home-forwarding: best local knowledge, else the birth
-            // rank, else limbo (we are the birth rank).
+        if self.cfg.routing == Routing::HomeForward {
+            // Best local knowledge, else the birth rank, else limbo (we are
+            // the birth rank).
             return match know {
                 Some((r, e)) if r != me => Some(Route {
                     dst: r,
@@ -932,7 +926,7 @@ impl<O: Migratable> MolNode<O> {
             .am_send(dst, H_MOL_MIGRATE, Tag::System, packet.encode());
         // Publish the move to the pointer's home shard so cold senders and
         // stale-send redirects resolve in one bounded hop (DESIGN.md §16).
-        if self.cfg.sharded_directory && self.cfg.update_home_on_install {
+        if self.cfg.routing == Routing::Sharded {
             let me = self.comm.rank();
             let shard = shard_of(ptr, self.comm.nprocs());
             if shard == me {
@@ -954,27 +948,10 @@ impl<O: Migratable> MolNode<O> {
     }
 
     /// Merge a publish into this rank's shard authority; a freshly advanced
-    /// location releases limbo traffic and — in eager mode — pushes the
-    /// answer to every recorded inquirer.
+    /// location releases limbo traffic.
     fn publish_local(&mut self, ptr: MobilePtr, owner: Rank, epoch: u64) {
         if !self.authority.publish(ptr, owner, epoch) {
             return;
-        }
-        if !self.cfg.lazy_epochs {
-            let me = self.comm.rank();
-            for rank in self.authority.take_inquirers(ptr) {
-                if rank != me && rank != owner {
-                    self.stats.locupd_sent += 1;
-                    let ans = DirAnswer {
-                        ptr,
-                        owner,
-                        epoch,
-                        stale: false,
-                    };
-                    self.comm
-                        .am_send(rank, H_MOL_DIR_ANSWER, Tag::System, ans.encode());
-                }
-            }
         }
         if let Some(d) = self.directory.get_mut(&ptr) {
             let parked = std::mem::take(&mut d.limbo);
@@ -1061,30 +1038,29 @@ impl<O: Migratable> MolNode<O> {
         for env in packet.buffered {
             self.accept_local(env);
         }
-        // Location dissemination per the configured strategy. In sharded
-        // mode the migration *source* already published the move; the shard
-        // itself just folds the installation into its own authority.
-        let upd = LocUpdate {
-            ptr,
-            owner: self.rank(),
-            epoch: packet.epoch,
-        };
-        if self.cfg.broadcast_on_install {
-            for dst in 0..self.nprocs() {
-                if dst != self.rank() {
-                    self.stats.locupd_sent += 1;
-                    self.comm
-                        .am_send(dst, H_MOL_LOCUPD, Tag::System, upd.encode());
+        // Location dissemination. Under the sharded directory the migration
+        // *source* already published the move; the shard itself just folds
+        // the installation into its own authority. Home-forwarding tells the
+        // birth rank.
+        let me = self.rank();
+        match self.cfg.routing {
+            Routing::Sharded => {
+                if shard_of(ptr, self.nprocs()) == me {
+                    self.publish_local(ptr, me, packet.epoch);
                 }
             }
-        } else if self.cfg.sharded_directory {
-            if shard_of(ptr, self.nprocs()) == self.rank() {
-                self.publish_local(ptr, self.rank(), packet.epoch);
+            Routing::HomeForward => {
+                if ptr.home != me {
+                    self.stats.locupd_sent += 1;
+                    let upd = LocUpdate {
+                        ptr,
+                        owner: me,
+                        epoch: packet.epoch,
+                    };
+                    self.comm
+                        .am_send(ptr.home, H_MOL_LOCUPD, Tag::System, upd.encode());
+                }
             }
-        } else if self.cfg.update_home_on_install && ptr.home != self.rank() {
-            self.stats.locupd_sent += 1;
-            self.comm
-                .am_send(ptr.home, H_MOL_LOCUPD, Tag::System, upd.encode());
         }
         for env in parked {
             self.route(env);
@@ -1232,29 +1208,39 @@ impl<O: Migratable> MolNode<O> {
                 // its next message takes the short path. At the home shard
                 // this piggybacked answer is authoritative.
                 if let Some((owner, epoch)) = route.know {
-                    if self.cfg.update_sender_on_forward && sender != me && sender != owner {
+                    if sender != me && sender != owner {
                         self.stats.locupd_sent += 1;
-                        if self.cfg.sharded_directory {
-                            // Epoch 0 is a cold fill ("never migrated,
-                            // lives at home"), not a stale correction.
-                            let ans = DirAnswer {
-                                ptr,
-                                owner,
-                                epoch,
-                                stale: epoch > 0,
-                            };
-                            self.comm
-                                .am_send(sender, H_MOL_DIR_ANSWER, Tag::System, ans.encode());
-                        } else {
-                            let upd = LocUpdate { ptr, owner, epoch };
-                            self.comm
-                                .am_send(sender, H_MOL_LOCUPD, Tag::System, upd.encode());
+                        match self.cfg.routing {
+                            Routing::Sharded => {
+                                // Epoch 0 is a cold fill ("never migrated,
+                                // lives at home"), not a stale correction.
+                                let ans = DirAnswer {
+                                    ptr,
+                                    owner,
+                                    epoch,
+                                    stale: epoch > 0,
+                                };
+                                self.comm.am_send(
+                                    sender,
+                                    H_MOL_DIR_ANSWER,
+                                    Tag::System,
+                                    ans.encode(),
+                                );
+                            }
+                            Routing::HomeForward => {
+                                let upd = LocUpdate { ptr, owner, epoch };
+                                self.comm
+                                    .am_send(sender, H_MOL_LOCUPD, Tag::System, upd.encode());
+                            }
                         }
                     }
                     // A chase this deep means the shard missed a publish
                     // (lost under chaos): repair it with our knowledge.
                     let shard = shard_of(ptr, self.comm.nprocs());
-                    if self.cfg.sharded_directory && menv.hops >= REPAIR_HOPS && shard != me {
+                    if self.cfg.routing == Routing::Sharded
+                        && menv.hops >= REPAIR_HOPS
+                        && shard != me
+                    {
                         self.stats.dir_publishes += 1;
                         let pu = DirPublish { ptr, owner, epoch };
                         self.comm
@@ -1295,9 +1281,6 @@ impl<O: Migratable> MolNode<O> {
             ),
         );
         let (owner, epoch) = best.unwrap_or((ptr.home, 0));
-        if !self.cfg.lazy_epochs {
-            self.authority.note_inquirer(ptr, src);
-        }
         self.stats.locupd_sent += 1;
         let ans = DirAnswer {
             ptr,
@@ -1309,8 +1292,9 @@ impl<O: Migratable> MolNode<O> {
             .am_send(src, H_MOL_DIR_ANSWER, Tag::System, ans.encode());
     }
 
-    /// Merge a location fact learned from the wire (a legacy `LocUpdate` or
-    /// a sharded `DirAnswer`) and release anything it unblocks.
+    /// Merge a location fact learned from the wire (a home-forwarding
+    /// `LocUpdate` or a sharded `DirAnswer`) and release anything it
+    /// unblocks.
     fn learn_location(&mut self, ptr: MobilePtr, owner: Rank, epoch: u64) {
         let d = self.directory.entry(ptr).or_default();
         if d.entry.is_some() {
@@ -1322,7 +1306,9 @@ impl<O: Migratable> MolNode<O> {
             }
         }
         self.cache.insert_max(ptr, owner, epoch);
-        if self.cfg.sharded_directory && shard_of(ptr, self.comm.nprocs()) == self.comm.rank() {
+        if self.cfg.routing == Routing::Sharded
+            && shard_of(ptr, self.comm.nprocs()) == self.comm.rank()
+        {
             self.authority.publish(ptr, owner, epoch);
         }
         let parked = std::mem::take(

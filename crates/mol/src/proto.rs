@@ -9,8 +9,7 @@
 //!   ordering state (per-sender expected sequence numbers), any accepted but
 //!   not-yet-executed messages, and any out-of-order buffered messages;
 //! * `MOL_LOCUPD` — a location update ("object X now lives at rank R, as of
-//!   migration epoch E"), used by the legacy home-forwarding mode and by
-//!   `broadcast_on_install`;
+//!   migration epoch E"), used by `Routing::HomeForward` only;
 //! * `NODE_MSG` — a plain rank-targeted message (used by the load-balancing
 //!   framework for status/request traffic; not object-routed);
 //! * `MOL_DIR_PUBLISH` — a migration publishing `(ptr, new_rank, epoch)` to

@@ -4,7 +4,7 @@
 
 use bytes::Bytes;
 use prema_dcs::{ChaosConfig, ChaosHandle, ChaosTransport, Communicator, LocalFabric};
-use prema_mol::{shard_of, MobilePtr, MolConfig, MolEvent, MolNode, MAX_CHAIN};
+use prema_mol::{shard_of, MobilePtr, MolConfig, MolEvent, MolNode, Routing, MAX_CHAIN};
 
 #[derive(Debug, PartialEq)]
 struct Counter {
@@ -140,7 +140,7 @@ fn lost_location_update_degrades_to_forwarding() {
         3,
         ChaosConfig::quiet(13),
         MolConfig {
-            sharded_directory: false,
+            routing: Routing::HomeForward,
             ..MolConfig::default()
         },
     );

@@ -16,7 +16,7 @@
 
 use bytes::Bytes;
 use prema_dcs::{Communicator, LocalFabric};
-use prema_mol::{MobilePtr, MolConfig, MolEvent, MolNode, MAX_CHAIN};
+use prema_mol::{MobilePtr, MolConfig, MolEvent, MolNode, Routing, MAX_CHAIN};
 
 const NPROCS: usize = 8;
 const OBJS_PER_RANK: usize = 4;
@@ -183,7 +183,7 @@ fn run_interact(mut nodes: Vec<MolNode<Counter>>) -> RunResult {
 fn interact_chain_bound_and_cache_rate() {
     let sharded = run_interact(machine(MolConfig::default()));
     let legacy = run_interact(machine(MolConfig {
-        sharded_directory: false,
+        routing: Routing::HomeForward,
         ..MolConfig::default()
     }));
 

@@ -3,7 +3,7 @@
 
 use bytes::Bytes;
 use prema_dcs::{Communicator, LocalFabric, Tag};
-use prema_mol::{MobilePtr, MolEvent, MolNode};
+use prema_mol::{MobilePtr, MolConfig, MolEvent, MolNode, Routing};
 
 /// A trivial mobile object: a counter with an id.
 #[derive(Debug, PartialEq)]
@@ -34,12 +34,17 @@ fn machine(n: usize) -> Vec<MolNode<Counter>> {
         .collect()
 }
 
-/// Like [`machine`] but with the legacy home-forwarding directory, for tests
-/// that exercise forward-pointer chains and LocUpdate teaching specifically.
+/// Like [`machine`] but with the paper's home-forwarding directory, for
+/// tests that exercise forward-pointer chains and LocUpdate teaching
+/// specifically.
 fn legacy_machine(n: usize) -> Vec<MolNode<Counter>> {
-    use prema_mol::MolConfig;
+    routed_machine(n, Routing::HomeForward)
+}
+
+/// An N-rank machine running `routing`, with no environment overrides.
+fn routed_machine(n: usize, routing: Routing) -> Vec<MolNode<Counter>> {
     let cfg = MolConfig {
-        sharded_directory: false,
+        routing,
         ..MolConfig::default()
     };
     LocalFabric::new(n)
@@ -391,73 +396,18 @@ fn threaded_stress_ordering() {
 }
 
 #[test]
-fn eager_broadcast_strategy_eliminates_forwarding() {
-    use prema_mol::MolConfig;
-    // Two machines, same migration churn: lazy (default) vs eager broadcast.
-    let run = |cfg: MolConfig| {
-        let mut nodes: Vec<MolNode<Counter>> = LocalFabric::new(4)
-            .into_iter()
-            .map(|ep| MolNode::with_config(Communicator::new(Box::new(ep)), cfg))
-            .collect();
-        let ptr = nodes[0].register(Counter { id: 1, value: 0 });
-        // Walk the object around the machine; after each hop let everyone
-        // learn whatever the strategy disseminates, then send from rank 3.
-        for hop in [1usize, 2, 3, 1, 2] {
-            if let Some(src) = nodes.iter().position(|nd| nd.is_local(ptr)) {
-                if src != hop {
-                    assert!(nodes[src].migrate(ptr, hop));
-                }
-            }
-            // Propagate installs/updates.
-            for _ in 0..3 {
-                for n in nodes.iter_mut() {
-                    let _ = n.poll();
-                }
-            }
-            nodes[3].message(ptr, H_ADD, Bytes::copy_from_slice(&1i64.to_le_bytes()));
-            let _ = pump(&mut nodes);
-        }
-        let forwards: u64 = nodes.iter().map(|n| n.stats().forwarded).sum();
-        let updates: u64 = nodes.iter().map(|n| n.stats().locupd_sent).sum();
-        (forwards, updates)
-    };
-    let (lazy_fwd, lazy_upd) = run(MolConfig::default());
-    let (eager_fwd, eager_upd) = run(MolConfig {
-        broadcast_on_install: true,
-        ..MolConfig::default()
-    });
-    // Eager dissemination: senders always know the location → no forwarding,
-    // at the price of more update traffic.
-    assert_eq!(eager_fwd, 0, "eager broadcast still forwarded");
-    assert!(eager_upd > lazy_upd, "eager should send more updates");
-    // Lazy must still deliver (correctness was asserted by pump), possibly
-    // with some forwarding.
-    let _ = lazy_fwd;
-}
-
-#[test]
 fn fully_lazy_strategy_still_delivers_via_chains() {
-    use prema_mol::MolConfig;
-    // Every dissemination knob off: the only routing knowledge is forward
-    // pointers. Delivery must still work, with longer chains.
-    let cfg = MolConfig {
-        update_home_on_install: false,
-        update_sender_on_forward: false,
-        broadcast_on_install: false,
-        sharded_directory: false,
-        ..MolConfig::default()
-    };
-    let mut nodes: Vec<MolNode<Counter>> = LocalFabric::new(4)
-        .into_iter()
-        .map(|ep| MolNode::with_config(Communicator::new(Box::new(ep)), cfg))
-        .collect();
+    // Home-forwarding with the sender kept ignorant: rank 0 (the home) sends
+    // before it has polled any of the LocUpdates the walk generated, so its
+    // only routing knowledge is its own forward pointer, and every message
+    // chases the 3-hop trail 0 → 1 → 2 → 3.
+    let mut nodes = legacy_machine(4);
     let ptr = nodes[0].register(Counter { id: 9, value: 0 });
-    assert!(nodes[0].migrate(ptr, 1));
-    let _ = pump(&mut nodes);
-    assert!(nodes[1].migrate(ptr, 2));
-    let _ = pump(&mut nodes);
-    assert!(nodes[2].migrate(ptr, 3));
-    let _ = pump(&mut nodes);
+    for (src, dst) in [(0usize, 1usize), (1, 2), (2, 3)] {
+        assert!(nodes[src].migrate(ptr, dst));
+        let _ = nodes[dst].poll();
+        assert!(nodes[dst].is_local(ptr));
+    }
     for i in 0..4i64 {
         nodes[0].message(ptr, H_ADD, Bytes::copy_from_slice(&i.to_le_bytes()));
     }
@@ -469,21 +419,70 @@ fn fully_lazy_strategy_still_delivers_via_chains() {
     assert!(forwards >= 4, "expected chain forwarding, got {forwards}");
 }
 
+/// Every location miss `MolStats` counts is also traced, under both routing
+/// schemes, so `trace-report`'s directory section agrees with the counters.
+#[cfg(feature = "trace")]
+#[test]
+fn traced_cache_misses_match_stats_under_both_routings() {
+    use prema_trace::{TraceEvent, TraceSink};
+    for routing in [Routing::Sharded, Routing::HomeForward] {
+        let sink = TraceSink::new(3);
+        let mut nodes = routed_machine(3, routing);
+        for (rank, node) in nodes.iter_mut().enumerate() {
+            node.set_tracer(sink.tracer(rank));
+        }
+        let ptrs: Vec<MobilePtr> = (0..4)
+            .map(|id| nodes[0].register(Counter { id, value: 0 }))
+            .collect();
+        assert!(nodes[0].migrate(ptrs[0], 1));
+        // Cold resolves and sends from ranks that have never heard of the
+        // objects, then resolves again once the answers have landed.
+        for &ptr in &ptrs {
+            let _ = nodes[2].resolve(ptr);
+            nodes[1].message(ptr, H_ADD, Bytes::copy_from_slice(&1i64.to_le_bytes()));
+        }
+        let _ = pump(&mut nodes);
+        for &ptr in &ptrs {
+            let _ = nodes[2].resolve(ptr);
+        }
+        let stat: u64 = nodes.iter().map(|n| n.stats().loc_cache_misses).sum();
+        let traced = sink
+            .drain()
+            .iter()
+            .filter(|r| matches!(r.ev, TraceEvent::LocCacheMiss { .. }))
+            .count() as u64;
+        assert!(stat > 0, "{routing:?}: no misses exercised");
+        assert_eq!(traced, stat, "{routing:?}: traced misses vs MolStats");
+    }
+}
+
 /// Wide-area race: with injected latency, migrations and the messages
 /// chasing them genuinely overlap in flight. Order and exactly-once delivery
 /// must survive.
 #[test]
 fn threaded_ordering_survives_injected_latency() {
-    use prema_dcs::DelayTransport;
+    use prema_dcs::{ChaosConfig, ChaosHandle, ChaosTransport};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
 
     const MSGS: i64 = 60;
-    let mut eps = prema_dcs::LocalFabric::new(3).into_iter();
-    let ep0 = DelayTransport::new(eps.next().unwrap(), Duration::from_millis(2));
-    let ep1 = DelayTransport::new(eps.next().unwrap(), Duration::from_millis(2));
-    let ep2 = DelayTransport::new(eps.next().unwrap(), Duration::from_millis(2));
+    // Delay-only chaos: every envelope is held the same number of receive
+    // polls, long enough that migrations and the messages chasing them
+    // overlap in flight. A uniform delay keeps per-pair FIFO, so no
+    // reliable layer is needed.
+    let latency = ChaosConfig {
+        delay_p: 1.0,
+        delay_ticks: 64,
+        ..ChaosConfig::quiet(7)
+    };
+    let handle = ChaosHandle::new();
+    let mut eps = prema_dcs::LocalFabric::new(3)
+        .into_iter()
+        .map(|ep| ChaosTransport::new(ep, latency, handle.clone()));
+    let ep0 = eps.next().unwrap();
+    let ep1 = eps.next().unwrap();
+    let ep2 = eps.next().unwrap();
 
     // Global exactly-once counter: every delivery increments it, wherever
     // the object happens to live at that moment.
