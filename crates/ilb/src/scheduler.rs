@@ -154,8 +154,9 @@ pub struct Scheduler<O: Migratable> {
     /// Weight hint of the executing unit; published statuses must account
     /// for in-flight work or diffusive policies see an under-report.
     executing_weight: f64,
-    /// Last load snapshot published to the neighborhood (statuses are only
-    /// re-sent when the load changes).
+    /// Last load snapshot published to the neighborhood. A status is only
+    /// re-sent when the weight moved by more than the governor's hysteresis
+    /// band since this one (DESIGN.md §14).
     last_published: Option<LoadSnapshot>,
     stats: SchedStats,
     lb_enabled: bool,
@@ -401,8 +402,9 @@ impl<O: Migratable> Scheduler<O> {
     }
 
     /// Complete an execution started by [`Scheduler::begin`]: re-attach the
-    /// object, apply the handler's buffered sends, update counters, and
-    /// evaluate the load balancer.
+    /// object, apply the handler's buffered sends and update counters. The
+    /// load balancer is not evaluated here: it runs once per polling
+    /// operation ([`Scheduler::poll`], [`Scheduler::poll_system`]).
     pub fn finish(&mut self, exec: Execution<O>) {
         let Execution { item, obj, ctx, .. } = exec;
         let obj = obj.expect("execution finished twice");
@@ -424,9 +426,6 @@ impl<O: Migratable> Scheduler<O> {
         // handler buffered coalesces per destination and ships now, rather
         // than waiting for the next poll. System traffic was never staged.
         self.node.comm().flush();
-        if self.lb_enabled {
-            self.lb_evaluate();
-        }
         #[cfg(feature = "check-invariants")]
         self.verify_invariants();
     }
@@ -503,8 +502,13 @@ impl<O: Migratable> Scheduler<O> {
                     // Begging liveness: a rank that exhausted its attempt
                     // cap would otherwise never beg again until work arrives
                     // by luck. Fresh evidence of an overloaded neighbor
-                    // re-opens the round.
-                    if snap.units > 0 && self.attempt >= self.attempt_cap() {
+                    // re-opens the round — but only if its weight clears the
+                    // hysteresis band even against an empty requester;
+                    // anything lighter could only earn refusals.
+                    if snap.units > 0
+                        && self.governor.hysteresis_ok(snap.weight, 0.0)
+                        && self.attempt >= self.attempt_cap()
+                    {
                         self.attempt = 0;
                     }
                 }
@@ -716,8 +720,7 @@ impl<O: Migratable> Scheduler<O> {
 
         // Sample the weight history and report the forecast to the policy
         // before any decision this evaluation makes (anticipatory policies
-        // cache it). Sampled at the poll tick; a re-evaluation within the
-        // same poll (unit finish) overwrites the tick's sample.
+        // cache it). Sampled once per poll tick.
         self.history.record(self.polls, local.weight);
         let fc = self.history.forecast(self.forecast_horizon);
         self.policy.note_forecast(self.polls, &local, &fc);
@@ -729,8 +732,18 @@ impl<O: Migratable> Scheduler<O> {
             });
         }
 
-        // Publish status to the neighborhood when it changed.
-        if self.last_published != Some(local) {
+        // Publish status to the neighborhood only when the change could
+        // alter a decision: grants are decided on fresh snapshots (the
+        // donor's own load, the requester's in `LB_REQUEST`) and refused
+        // within the hysteresis band, so a drift within the band cannot
+        // turn a refusal into a grant. `StabilityConfig::off()` (band < 0)
+        // publishes every change.
+        let band = self.governor.config().hysteresis_band;
+        let publish = match self.last_published {
+            None => true,
+            Some(last) => last != local && (local.weight - last.weight).abs() > band,
+        };
+        if publish {
             let status = Self::encode_snapshot(&local);
             for nb in self.policy.neighborhood(me, n) {
                 self.node

@@ -353,3 +353,50 @@ fn fresh_status_reenables_begging_after_attempt_cap() {
         "a fresh LB_STATUS from an overloaded neighbor did not re-enable begging"
     );
 }
+
+#[test]
+fn status_within_hysteresis_band_does_not_reopen_begging() {
+    // After the attempt cap, only a status whose weight could clear the
+    // governor's band (default 1.0) even against an empty requester may
+    // re-open the round: a neighbor reporting one unit of weight 1.0 would
+    // refuse every request, so re-begging it is pure wasted traffic.
+    let mut scheds = machine(2, |r| Box::new(WorkStealing::new(1.0, r as u64)));
+    let status = WireWriter::new().u64(5).f64(5.0).finish();
+    scheds[1]
+        .node_mut()
+        .node_message(0, LB_STATUS, Tag::System, status);
+    scheds[0].poll();
+    for _ in 0..12 {
+        scheds[1]
+            .node_mut()
+            .node_message(0, LB_NACK, Tag::System, Bytes::new());
+        scheds[0].poll();
+    }
+    assert_eq!(
+        scheds[0].stats().requests_sent,
+        8,
+        "attempt cap not enforced"
+    );
+    let light = WireWriter::new().u64(1).f64(1.0).finish();
+    scheds[1]
+        .node_mut()
+        .node_message(0, LB_STATUS, Tag::System, light);
+    for _ in 0..4 {
+        scheds[0].poll();
+    }
+    assert_eq!(
+        scheds[0].stats().requests_sent,
+        8,
+        "a status within the hysteresis band re-opened begging"
+    );
+    let heavy = WireWriter::new().u64(2).f64(2.0).finish();
+    scheds[1]
+        .node_mut()
+        .node_message(0, LB_STATUS, Tag::System, heavy);
+    scheds[0].poll();
+    assert_eq!(
+        scheds[0].stats().requests_sent,
+        9,
+        "a status beyond the hysteresis band did not re-open begging"
+    );
+}
